@@ -30,6 +30,8 @@ from repro.core.config import PPRConfig
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
 from repro.forests.estimators import (
+    roots_source_estimate_basic,
+    roots_source_estimate_improved,
     source_estimate_basic,
     source_estimate_improved,
 )
@@ -38,10 +40,15 @@ from repro.graph.csr import Graph
 from repro.push.forward import balanced_forward_push
 from repro.rng import ensure_rng
 
+#: Default forest cap of a :class:`BatchTopKSolver` (and the default
+#: capacity of a :class:`ForestStream`).
+MAX_FORESTS = 256
+
 __all__ = [
     "TopKResult",
     "TopKQueryResult",
     "BatchTopKSolver",
+    "ForestStream",
     "top_k_single_source",
     "heavy_hitters",
 ]
@@ -217,7 +224,8 @@ def top_k_single_source(graph: Graph, source: int, k: int, *,
             break
 
     means = estimator.mean()
-    order = np.argsort(-means, kind="stable")[:k]
+    # copy: a slice would pin the whole n-length argsort buffer
+    order = np.argsort(-means, kind="stable")[:k].copy()
     stats = {"num_pushes": estimator.push.num_pushes,
              "push_work": estimator.push.work,
              "forest_steps": estimator.steps,
@@ -288,21 +296,106 @@ class _TopKState:
         self.result = None
 
 
-class BatchTopKSolver:
-    """Early-terminating top-k queries with a shared forest stream.
+class ForestStream:
+    """The lazily extended prefix of one deterministic forest stream.
 
-    A micro-batch of ``(node, k)`` items shares one deterministic
-    forest stream (the RNG restarts from ``config.seed`` on every
-    :meth:`run_items` call): forests are drawn in chunks of
-    ``batch_draw``, each active query folds them into its running
+    Row ``i`` holds forest ``i`` drawn from one generator seeded with
+    ``config.seed`` — the forest a fresh generator would draw ``i``-th
+    — so folding rows ``0..m`` is byte-identical to resampling them.
+    The stream depends on the graph, α, the seed and the sampler only
+    (ε merely sets ``r_max``), so every top-k solver of one ``(graph,
+    α)`` can share it.  Only what the source estimators and the work
+    accounting read is kept: the root labels (int32 while ``n`` fits)
+    and each forest's walk steps, in blocks preallocated at
+    ``capacity`` rows (untouched rows cost no resident memory).  A
+    published row (below :attr:`length`) never changes, so readers fold
+    it without a lock; :meth:`extend_to` serialises the sampling.
+    """
+
+    def __init__(self, graph: Graph, config: PPRConfig,
+                 capacity: int = MAX_FORESTS):
+        self.graph = graph
+        self.config = config
+        dtype = (np.int32 if graph.num_nodes <= np.iinfo(np.int32).max
+                 else np.int64)
+        self.roots = np.empty((capacity, graph.num_nodes), dtype=dtype)
+        self.num_steps = np.zeros(capacity, dtype=np.int64)
+        self.length = 0
+        self._rng = ensure_rng(config.seed)
+        self._lock = threading.Lock()
+
+    @property
+    def capacity(self) -> int:
+        """The most rows the stream can hold."""
+        return len(self.num_steps)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the published rows."""
+        row = self.roots.itemsize * self.graph.num_nodes
+        return self.length * (row + self.num_steps.itemsize)
+
+    @property
+    def walk_steps(self) -> int:
+        """Walk steps drawn for the published rows."""
+        return int(self.num_steps[:self.length].sum())
+
+    @staticmethod
+    def key(config: PPRConfig) -> tuple:
+        """What the stream depends on besides the graph (not ε)."""
+        return (config.alpha, config.seed, config.sampler)
+
+    def serves(self, graph: Graph, config: PPRConfig) -> bool:
+        """Whether this is the stream ``(graph, config)`` would draw."""
+        return graph is self.graph and self.key(config) == self.key(
+            self.config)
+
+    def extend_to(self, count: int) -> None:
+        """Sample until at least ``count`` forests are published."""
+        if self.length >= count:
+            return
+        with self._lock:
+            while self.length < count:
+                # rewind on failure so row i stays the stream's i-th draw
+                state = self._rng.bit_generator.state
+                try:
+                    forest = sample_forest(self.graph, self.config.alpha,
+                                           rng=self._rng,
+                                           method=self.config.sampler)
+                except BaseException:
+                    self._rng.bit_generator.state = state
+                    raise
+                self.roots[self.length] = forest.roots
+                self.num_steps[self.length] = forest.num_steps
+                self.length += 1
+
+
+class BatchTopKSolver:
+    """Early-terminating top-k queries over a cached forest stream.
+
+    Every :meth:`run_items` call folds the same deterministic forest
+    stream — forest ``i`` is the ``i``-th draw of a generator seeded
+    with ``config.seed``.  Forests are folded in chunks of
+    ``batch_draw``; each active query folds them into its running
     moments, and a query *freezes* its answer at the first checkpoint
     where the k-th and (k+1)-th ranked estimates' confidence intervals
     separate (:func:`top_k_single_source`'s rule).  Because the stream
     and the checkpoint grid are fixed, a query's answer depends only on
     ``(graph, config, node, k)`` — byte-identical for every batch
     composition and across thread/process executors — while queries
-    that separate early stop paying estimator and sampling work, which
-    is the measured ``walk_steps`` win over the full-budget path.
+    that separate early stop paying estimator work, which is the
+    measured ``walk_steps`` win over the full-budget path.
+
+    The stream is a :class:`ForestStream`, sampled once: it is extended
+    lazily (under a lock, only when a call needs forests nobody drew
+    yet) and folded from the cache afterwards, at most ``max_forests``
+    rows of ``n`` int32 root labels.  Pass ``stream=`` to share one
+    stream between solvers of the same ``(graph, α)`` (any ε); by
+    default each solver draws its own.  A result's ``work`` block still
+    charges the walk steps of every forest that query folded — the
+    per-query cost of the answer, as if it were sampled afresh — while
+    :meth:`stats` reports what the stream actually sampled.  A stream
+    lives as long as the graph generation it was drawn on.
 
     ``early_stop=False`` disables the stopping rule (every query runs
     to ``max_forests``) — the matched-accuracy comparator the CI gate
@@ -311,8 +404,8 @@ class BatchTopKSolver:
 
     def __init__(self, graph: Graph, *, config: PPRConfig | None = None,
                  confidence: float = 0.95, batch_draw: int = 8,
-                 max_forests: int = 256, early_stop: bool = True,
-                 **overrides):
+                 max_forests: int = MAX_FORESTS, early_stop: bool = True,
+                 stream: ForestStream | None = None, **overrides):
         config = config or PPRConfig()
         if overrides:
             config = config.with_overrides(**overrides)
@@ -332,6 +425,14 @@ class BatchTopKSolver:
         self._queries_served = 0
         self._push_work = 0
         self._lock = threading.Lock()
+        if stream is None:
+            stream = ForestStream(graph, self.config, self.max_forests)
+        elif (not stream.serves(graph, self.config)
+              or stream.capacity < self.max_forests):
+            raise ConfigError(
+                "stream was drawn for another graph, alpha, seed or "
+                "sampler, or holds fewer than max_forests rows")
+        self._stream = stream
 
     # -- lifecycle (mirrors the batch solvers) -------------------------
     @property
@@ -351,13 +452,20 @@ class BatchTopKSolver:
         return False
 
     def stats(self) -> dict:
-        """Lifecycle snapshot in the batch-solver shape."""
+        """Lifecycle snapshot in the batch-solver shape.
+
+        ``num_forests``, ``index_size_bytes`` and ``walk_steps``
+        describe the cached (possibly shared) stream — forests actually
+        sampled, not the per-query ``work`` each answer reports.
+        """
         with self._lock:
             served = self._queries_served
             push_work = self._push_work
+        stream = self._stream
         return {
-            "num_forests": 0,
-            "index_size_bytes": 0,
+            "num_forests": stream.length,
+            "index_size_bytes": stream.nbytes,
+            "walk_steps": stream.walk_steps,
             "queries_served": served,
             "push_work": push_work,
             "push_work_per_query": push_work / served if served else 0.0,
@@ -371,7 +479,7 @@ class BatchTopKSolver:
         return self.run_items([(int(node), int(k))])[0]
 
     def run_items(self, items) -> list[TopKQueryResult]:
-        """Answer ``[(node, k), ...]`` items over one forest stream."""
+        """Answer ``[(node, k), ...]`` items over the cached stream."""
         if self._closed:
             raise ConfigError(
                 f"{type(self).__name__} is closed; build a new solver")
@@ -395,28 +503,32 @@ class BatchTopKSolver:
             states.append(_TopKState(node, k, push,
                                      time.perf_counter() - t0,
                                      self.graph.num_nodes))
-        rng = ensure_rng(self.config.seed)
-        degrees = self.graph.degrees
+        stream = self._stream
+        num_nodes = self.graph.num_nodes
+        degrees = np.asarray(self.graph.degrees, dtype=np.float64)
         drawn = 0
         walk_steps = 0
         cycle_pops = 0
         while drawn < self.max_forests and any(not s.done for s in states):
             chunk = min(self.batch_draw, self.max_forests - drawn)
-            for _ in range(chunk):
-                forest = sample_forest(self.graph, self.config.alpha,
-                                       rng=rng,
-                                       method=self.config.sampler)
-                walk_steps += forest.num_steps
-                cycle_pops += forest.num_pops
-                for state in states:
-                    if state.done:
-                        continue
+            stream.extend_to(drawn + chunk)
+            active = [state for state in states if not state.done]
+            for row in range(drawn, drawn + chunk):
+                steps = int(stream.num_steps[row])
+                walk_steps += steps
+                cycle_pops += max(steps - num_nodes, 0)
+                roots = stream.roots[row].astype(np.intp)
+                if self._improved:
+                    denominator = np.bincount(
+                        roots, weights=degrees, minlength=num_nodes)[roots]
+                for state in active:
                     if self._improved:
-                        estimate = source_estimate_improved(
-                            forest, state.push.residual, degrees)
+                        estimate = roots_source_estimate_improved(
+                            roots, state.push.residual, degrees,
+                            denominator)
                     else:
-                        estimate = source_estimate_basic(
-                            forest, state.push.residual)
+                        estimate = roots_source_estimate_basic(
+                            roots, state.push.residual)
                     state.sum += estimate
                     state.sum_squares += estimate * estimate
             drawn += chunk
@@ -451,7 +563,7 @@ class BatchTopKSolver:
                 cycle_pops: int, r_max: float, *, converged: bool,
                 batch_size: int) -> None:
         means, _ = self._moments(state, count)
-        order = np.argsort(-means, kind="stable")[:state.k]
+        order = np.argsort(-means, kind="stable")[:state.k].copy()
         work = WorkCounters(walk_steps=int(walk_steps),
                             cycle_pops=int(cycle_pops),
                             forests_sampled=int(count))

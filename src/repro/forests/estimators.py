@@ -47,6 +47,8 @@ __all__ = [
     "root_indicator",
     "source_estimate_basic",
     "source_estimate_improved",
+    "roots_source_estimate_basic",
+    "roots_source_estimate_improved",
     "target_estimate_basic",
     "target_estimate_improved",
     "estimator_for",
@@ -88,8 +90,13 @@ def source_estimate_basic(forest: RootedForest,
     ``Σ_u r(u)·1[root(u) = v]`` is ``Σ_u r(u)·Pr(u rooted in v)``.
     """
     residual = _check_inputs(forest, residual)
-    return np.bincount(forest.roots, weights=residual,
-                       minlength=forest.num_nodes)
+    return roots_source_estimate_basic(forest.roots, residual)
+
+
+def roots_source_estimate_basic(roots: np.ndarray,
+                                residual: np.ndarray) -> np.ndarray:
+    """:func:`source_estimate_basic` over a bare root-label array."""
+    return np.bincount(roots, weights=residual, minlength=roots.size)
 
 
 def source_estimate_improved(forest: RootedForest, residual: np.ndarray,
@@ -97,17 +104,27 @@ def source_estimate_improved(forest: RootedForest, residual: np.ndarray,
     """FORALV estimator: spread each tree's mass by degree (Thm 3.8)."""
     residual = _check_inputs(forest, residual)
     degrees = np.asarray(degrees, dtype=np.float64)
-    tree_residual = np.bincount(forest.roots, weights=residual,
-                                minlength=forest.num_nodes)
-    tree_degree = forest.component_degree_mass(degrees)
-    estimate = np.zeros(forest.num_nodes)
-    labels = forest.roots
-    positive = tree_degree[labels] > 0
-    estimate[positive] = (degrees[positive]
-                          * tree_residual[labels[positive]]
-                          / tree_degree[labels[positive]])
+    return roots_source_estimate_improved(
+        forest.roots, residual, degrees,
+        forest.component_degree_mass(degrees)[forest.roots])
+
+
+def roots_source_estimate_improved(roots: np.ndarray, residual: np.ndarray,
+                                   degrees: np.ndarray,
+                                   denominator: np.ndarray) -> np.ndarray:
+    """:func:`source_estimate_improved` over a bare root-label array.
+
+    ``denominator[u]`` is the degree mass of ``u``'s tree
+    (``component_degree_mass(degrees)[roots]``): it depends on the
+    forest only, so a caller folding many residuals through one forest
+    computes it once.
+    """
+    tree_residual = np.bincount(roots, weights=residual,
+                                minlength=roots.size)
     # isolated single-node trees: the node is its own root w.p. 1
-    estimate[~positive] = residual[~positive]
+    estimate = residual.copy()
+    np.divide(degrees * tree_residual[roots], denominator, out=estimate,
+              where=denominator > 0)
     return estimate
 
 

@@ -62,6 +62,7 @@ from multiprocessing import connection
 import scipy.sparse  # noqa: F401  (pre-fork: _BankOperators lazy import)
 
 from repro.core.config import PPRConfig
+from repro.core.topk import ForestStream
 from repro.exceptions import ReproError
 from repro.montecarlo.forest_index import ForestIndex
 from repro.obs.tracing import Span
@@ -166,6 +167,7 @@ class _WorkerCache:
         self.graphs: dict[BankHandle, tuple] = {}
         self.indexes: dict[tuple[BankHandle, BankHandle], tuple] = {}
         self.solvers: dict[tuple, object] = {}
+        self.streams: dict[tuple, ForestStream] = {}
 
     def graph_for(self, handle: BankHandle):
         entry = self.graphs.get(handle)
@@ -196,9 +198,10 @@ class _WorkerCache:
             graph = self.graph_for(task.graph_handle)
             cls = SOLVER_CLASSES[task.kind]
             if task.kind == "topk":
-                # the top-k solver samples its own deterministic forest
-                # stream; it needs the graph but borrows no bank
-                solver = cls(graph, config=task.config)
+                # the top-k solver borrows no bank, only the graph's
+                # cached forest stream, shared by every ε
+                solver = cls(graph, config=task.config,
+                             stream=self._stream_for(task, graph))
             else:
                 index = self.index_for(task.graph_handle,
                                        task.index_handle)
@@ -206,6 +209,15 @@ class _WorkerCache:
             self._evict(self.solvers)
             self.solvers[key] = solver
         return solver
+
+    def _stream_for(self, task: _Task, graph) -> ForestStream:
+        key = (task.graph_handle, *ForestStream.key(task.config))
+        stream = self.streams.get(key)
+        if stream is None:
+            stream = ForestStream(graph, task.config)
+            self._evict(self.streams)
+            self.streams[key] = stream
+        return stream
 
     def _evict(self, cache: dict) -> None:
         while len(cache) >= self.capacity:
@@ -226,12 +238,16 @@ class _WorkerCache:
             _, bank = self.graphs.pop(handle)
             for key in [k for k in self.indexes if k[0] == handle]:
                 self.indexes.pop(key)[1].close()
+            for key in [k for k in self.streams if k[0] == handle]:
+                del self.streams[key]
             self._drop_stale_solvers()
             bank.close()
 
     def _drop_stale_solvers(self) -> None:
+        # a top-k solver (and its cached stream) needs only its graph
         for key in [k for k in self.solvers
-                    if (k[0], k[1]) not in self.indexes]:
+                    if (k[0] not in self.graphs if k[3] == "topk"
+                        else (k[0], k[1]) not in self.indexes)]:
             del self.solvers[key]
 
 

@@ -44,7 +44,7 @@ from repro.core.batch import (
     BatchTargetSolver,
 )
 from repro.core.config import PPRConfig
-from repro.core.topk import BatchTopKSolver
+from repro.core.topk import BatchTopKSolver, ForestStream
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError
 from repro.graph.csr import Graph
@@ -175,6 +175,8 @@ class IndexManager:
         self._graphs: dict[str, Graph] = {}
         self._indexes: dict[tuple[str, float], _ManagedIndex] = {}
         self._solvers: dict[tuple, BatchSourceSolver | BatchTargetSolver] = {}
+        # one top-k forest stream per (name, alpha), shared by every ε
+        self._topk_streams: dict[tuple[str, float], ForestStream] = {}
         self._shared_graphs: dict[str, SharedArrayBank] = {}
         # keyed (name, alpha, shard); shard None is the whole-space bank
         self._shared_indexes: dict[tuple[str, float, int | None],
@@ -191,6 +193,7 @@ class IndexManager:
         """Register ``graph`` under ``name`` for later index builds."""
         with self._lock:
             self._graphs[name] = graph
+            self._drop_topk_streams(name)
             stale = self._shared_graphs.pop(name, None)
             self._shard_maps.pop(name, None)
             for key in [k for k in self._restricted if k[0] == name]:
@@ -394,6 +397,7 @@ class IndexManager:
                 for solver_key in [k for k in self._solvers
                                    if k[0] == name]:
                     del self._solvers[solver_key]
+                self._drop_topk_streams(name)
                 stale_graph = self._shared_graphs.pop(name, None)
                 stale_banks = [self._shared_indexes.pop(key)
                                for key in list(self._shared_indexes)
@@ -451,6 +455,7 @@ class IndexManager:
             for solver_key in [k for k in self._solvers
                                if k[0] == name and k[1] == alpha]:
                 del self._solvers[solver_key]
+            self._topk_streams.pop((name, alpha), None)
             stale = [self._shared_indexes.pop(k)
                      for k in list(self._shared_indexes)
                      if k[0] == name and k[1] == alpha]
@@ -548,8 +553,10 @@ class IndexManager:
         ``kind`` is one of ``"source"``, ``"target"``, ``"multiseed"``,
         ``"topk"`` or ``"pair"``.  Solvers are cached; every
         bank-backed kind and ε value for one ``(graph, α)`` shares one
-        forest bank (the top-k solver samples its own deterministic
-        forest stream per call and borrows no bank).
+        forest bank, and every top-k solver for it shares one cached
+        :class:`~repro.core.topk.ForestStream` (sampled once, dropped
+        when :meth:`mutate` replaces the graph) — so memory stays one
+        stream per ``(graph, α)`` however many ε values clients send.
         """
         alpha = self.config.alpha if alpha is None else float(alpha)
         epsilon = self.config.epsilon if epsilon is None else float(epsilon)
@@ -564,13 +571,37 @@ class IndexManager:
                 return solver
         cls = SOLVER_CLASSES[kind]
         config = self.config.with_overrides(alpha=alpha, epsilon=epsilon)
+        graph = self.graph(name)
         if kind == "topk":
-            solver = cls(self.graph(name), config=config)
+            solver = cls(graph, config=config,
+                         stream=self._topk_stream(name, alpha, graph,
+                                                  config))
         else:
             index = self.get_index(name, alpha)
-            solver = cls(self.graph(name), config=config, index=index)
+            solver = cls(graph, config=config, index=index)
         with self._lock:
+            if self._graphs.get(name) is not graph:
+                # a mutate swapped the graph while this solver was
+                # built: answer with it, but never cache it into the
+                # new generation
+                return solver
             return self._solvers.setdefault(key, solver)
+
+    def _topk_stream(self, name: str, alpha: float, graph: Graph,
+                     config: PPRConfig) -> ForestStream:
+        with self._lock:
+            stream = self._topk_streams.get((name, alpha))
+            if stream is not None and stream.graph is graph:
+                return stream
+            stream = ForestStream(graph, config)
+            if self._graphs.get(name) is graph:
+                # never cache a stream of a graph a mutate replaced
+                self._topk_streams[(name, alpha)] = stream
+            return stream
+
+    def _drop_topk_streams(self, name: str) -> None:
+        for key in [k for k in self._topk_streams if k[0] == name]:
+            del self._topk_streams[key]
 
     # -- accounting ----------------------------------------------------
     def generation(self, name: str, alpha: float | None = None) -> int:
@@ -587,11 +618,17 @@ class IndexManager:
         return sum(entry.index.size_bytes for entry in managed)
 
     def stats(self) -> dict:
-        """Snapshot: builds, per-bank size/generation, total bytes."""
+        """Snapshot: builds, per-bank size/generation, total bytes.
+
+        ``memory_bytes`` sums the forest banks; each cached top-k
+        forest stream is listed under ``topk_streams`` (keyed
+        ``graph@α``) and totalled in ``topk_stream_bytes``.
+        """
         with self._lock:
             managed = dict(self._indexes)
             builds = self._builds
             solvers = len(self._solvers)
+            topk_streams = dict(self._topk_streams)
         banks = {
             f"{name}@{alpha}": {
                 "num_forests": entry.index.num_forests,
@@ -600,7 +637,17 @@ class IndexManager:
                 "build_seconds": entry.index.build_seconds,
             }
             for (name, alpha), entry in sorted(managed.items())}
+        streams = {
+            f"{name}@{alpha}": {
+                "num_forests": stream.length,
+                "size_bytes": stream.nbytes,
+                "walk_steps": stream.walk_steps,
+            }
+            for (name, alpha), stream in sorted(topk_streams.items())}
         return {"builds": builds, "solvers": solvers, "banks": banks,
                 "memory_bytes": sum(b["size_bytes"] for b in banks.values()),
+                "topk_streams": streams,
+                "topk_stream_bytes": sum(s["size_bytes"]
+                                         for s in streams.values()),
                 "shards": self.shards,
                 "shard_strategy": self.shard_strategy}

@@ -42,7 +42,6 @@ per-shard fold-latency histogram
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from collections import deque
@@ -76,20 +75,37 @@ def _env_slowdowns() -> dict[int, float]:
     return slowdowns
 
 
+#: Scale that makes the median absolute deviation a consistent
+#: estimator of σ for normally distributed samples.
+MAD_TO_SIGMA = 1.4826
+
+#: A flagged fold must take at least this many times the window
+#: median: stragglers are several times slower than their peers, while
+#: host jitter (GC pauses, descheduling) rarely triples a fold.
+MIN_SLOWDOWN = 3.0
+
+
 class StragglerDetector:
     """Flag shard folds far above the rolling cross-shard fold time.
 
     Keeps one bounded window of recent fold times across *all* shards
-    (the peers a straggler is slow relative to) and flags a fold whose
-    z-score against that window exceeds ``z_threshold``.  A
-    ``min_samples`` guard keeps the first folds — when the window
-    cannot yet estimate a distribution — from being flagged, and a
-    floor on the standard deviation keeps near-constant fold times
-    (σ ≈ 0) from turning microsecond jitter into alerts.
+    (the peers a straggler is slow relative to) and scores each new
+    fold robustly: ``z = (t − median) / σ̂`` with
+    ``σ̂ = max(1.4826·MAD, min_sigma)``.  A fold is flagged only when
+    ``z >= z_threshold`` *and* it is at least :data:`MIN_SLOWDOWN`
+    times the window median.  The median and MAD ignore the odd slow
+    honest fold (a GC pause, a descheduled worker) that would inflate
+    a mean and σ, and the relative floor keeps a fold that is merely a
+    few σ above a tight, millisecond-scale window from alerting — a
+    straggler is *several times* slower than its peers, not jittery.
+    A ``min_samples`` guard keeps the first folds — when the window
+    cannot yet estimate a distribution — from being flagged, and the
+    σ floor keeps near-constant fold times (MAD ≈ 0) from turning
+    microsecond jitter into alerts.
     """
 
     def __init__(self, window: int = 128, min_samples: int = 8,
-                 z_threshold: float = 3.0, min_sigma: float = 1e-4):
+                 z_threshold: float = 3.0, min_sigma: float = 1e-3):
         if window < 2:
             raise ConfigError(f"window must be >= 2, got {window}")
         if min_samples < 2:
@@ -108,10 +124,16 @@ class StragglerDetector:
         self._last_z: dict[int, float] = {}
         self._lock = threading.Lock()
 
+    @staticmethod
+    def _median_mad(samples) -> tuple[float, float]:
+        values = np.asarray(samples, dtype=np.float64)
+        median = float(np.median(values))
+        return median, float(np.median(np.abs(values - median)))
+
     def observe(self, shard: int, seconds: float) -> float | None:
         """Record one fold; returns its z-score when flagged else None.
 
-        The z-score is computed against the window *before* the new
+        The score is computed against the window *before* the new
         sample joins it, so one slow fold cannot dilute the baseline
         it is judged against.
         """
@@ -119,16 +141,16 @@ class StragglerDetector:
         with self._lock:
             self._folds[shard] = self._folds.get(shard, 0) + 1
             z = None
+            flagged = False
             if len(self._samples) >= self.min_samples:
-                mean = sum(self._samples) / len(self._samples)
-                variance = (sum((value - mean) ** 2
-                                for value in self._samples)
-                            / len(self._samples))
-                sigma = max(math.sqrt(variance), self.min_sigma)
-                z = (seconds - mean) / sigma
+                median, mad = self._median_mad(self._samples)
+                sigma = max(MAD_TO_SIGMA * mad, self.min_sigma)
+                z = (seconds - median) / sigma
                 self._last_z[shard] = z
+                flagged = (z >= self.z_threshold
+                           and seconds >= MIN_SLOWDOWN * median)
             self._samples.append(seconds)
-            if z is not None and z >= self.z_threshold:
+            if flagged:
                 self._flagged[shard] = self._flagged.get(shard, 0) + 1
                 return z
             return None
@@ -140,15 +162,13 @@ class StragglerDetector:
             flagged = dict(self._flagged)
             folds = dict(self._folds)
             last_z = dict(self._last_z)
-        mean = sum(samples) / len(samples) if samples else 0.0
-        sigma = (math.sqrt(sum((value - mean) ** 2
-                               for value in samples) / len(samples))
-                 if samples else 0.0)
+        median, mad = self._median_mad(samples) if samples else (0.0, 0.0)
         return {
             "window": len(samples),
-            "mean_seconds": mean,
-            "sigma_seconds": sigma,
+            "median_seconds": median,
+            "mad_seconds": mad,
             "z_threshold": self.z_threshold,
+            "min_slowdown": MIN_SLOWDOWN,
             "per_shard": [
                 {"shard": shard,
                  "folds": folds.get(shard, 0),

@@ -17,6 +17,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.topk import BatchTopKSolver
 from repro.counters import WorkCounters
 from repro.exceptions import ConfigError, GraphError
 from repro.graph import GraphDelta
@@ -206,6 +207,87 @@ class TestIndexManagerMutate:
         manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
         rebound = manager.get_solver("g", "source", ALPHA, 0.5)
         assert rebound is not solver  # old solver was dropped
+
+    def test_solver_built_across_a_mutate_is_not_cached(self, graph,
+                                                        monkeypatch):
+        """A mutate landing while a solver is being built must not let
+        the old graph's solver (and its stream) into the new
+        generation."""
+        from repro.service import index_manager
+
+        manager = self._manager(graph, dynamic=True)
+        real = index_manager.SOLVER_CLASSES["topk"]
+
+        def racing(old_graph, **kwargs):
+            manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
+            return real(old_graph, **kwargs)
+
+        monkeypatch.setitem(index_manager.SOLVER_CLASSES, "topk", racing)
+        stale = manager.get_solver("g", "topk", ALPHA, 0.5)
+        monkeypatch.setitem(index_manager.SOLVER_CLASSES, "topk", real)
+        assert stale.graph is graph
+        current = manager.get_solver("g", "topk", ALPHA, 0.5)
+        assert current is not stale
+        assert current.graph is manager.graph("g")
+        assert current._stream is not stale._stream
+        assert current._stream.graph is manager.graph("g")
+
+    def test_topk_stream_is_per_generation(self, graph):
+        """After a mutate the cached top-k stream must not leak into
+        the new generation: answers equal a fresh solver on the
+        mutated graph, and the stats list only the new stream."""
+        manager = self._manager(graph, dynamic=True)
+        items = [(0, 5), (20, 3)]
+        old_solver = manager.get_solver("g", "topk", ALPHA, 0.5)
+        old_solver.run_items(items)
+        stream = manager.stats()["topk_streams"][f"g@{ALPHA}"]
+        assert 0 < stream["num_forests"] <= old_solver.max_forests
+        assert stream["size_bytes"] == old_solver.stats()["index_size_bytes"]
+        assert stream["walk_steps"] > 0
+        manager.mutate("g", GraphDelta().upsert_edge(0, 20, 2.0))
+        assert manager.stats()["topk_streams"] == {}
+        solver = manager.get_solver("g", "topk", ALPHA, 0.5)
+        assert solver is not old_solver
+        assert solver.graph is manager.graph("g")
+        served = solver.run_items(items)
+        with BatchTopKSolver(manager.graph("g"),
+                             config=solver.config) as fresh:
+            want = fresh.run_items(items)
+        for ours, theirs in zip(served, want):
+            assert ours.nodes.tobytes() == theirs.nodes.tobytes()
+            assert ours.estimates.tobytes() == theirs.estimates.tobytes()
+            assert ours.work.as_dict() == theirs.work.as_dict()
+        stats = manager.stats()
+        assert stats["topk_stream_bytes"] == \
+            solver.stats()["index_size_bytes"] > 0
+
+    def test_every_epsilon_shares_one_topk_stream(self, graph):
+        """Clients pick ε per request; each new ε must reuse the
+        (graph, α) stream rather than sample and keep another one."""
+        manager = self._manager(graph, dynamic=True)
+        items = [(0, 5), (20, 3)]
+        first = manager.get_solver("g", "topk", ALPHA, 0.5)
+        first.run_items(items)
+        one_stream = manager.stats()["topk_stream_bytes"]
+        assert one_stream > 0
+        for epsilon in (0.50001, 0.50002, 0.50003):
+            manager.get_solver("g", "topk", ALPHA, epsilon).run_items(items)
+            assert manager.stats()["topk_stream_bytes"] == one_stream
+        for epsilon in (0.3, 0.7):
+            solver = manager.get_solver("g", "topk", ALPHA, epsilon)
+            assert solver._stream is first._stream
+            served = solver.run_items(items)
+            with BatchTopKSolver(graph, config=solver.config) as fresh:
+                want = fresh.run_items(items)
+            for ours, theirs in zip(served, want):
+                assert ours.nodes.tobytes() == theirs.nodes.tobytes()
+                assert ours.estimates.tobytes() == \
+                    theirs.estimates.tobytes()
+                assert ours.work.as_dict() == theirs.work.as_dict()
+        stats = manager.stats()
+        assert list(stats["topk_streams"]) == [f"g@{ALPHA}"]
+        assert stats["topk_stream_bytes"] == first._stream.nbytes <= \
+            first.max_forests * (4 * graph.num_nodes + 8)
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.batch import BatchSourceSolver
 from repro.core.config import PPRConfig
+from repro.core.topk import BatchTopKSolver
 from repro.exceptions import ConfigError, ReproError
 from repro.graph.generators import erdos_renyi
 from repro.service import (
@@ -141,6 +142,26 @@ class TestProcessExecutor:
                 assert np.array_equal(ours.estimates, theirs.estimates)
                 assert ours.work.as_dict() == theirs.work.as_dict()
 
+    def test_topk_cold_and_warm_streams_match_fresh_solvers(
+            self, graph, executor):
+        """Workers cache their top-k forest stream; every batch shape,
+        on a cold or warm worker, must equal a fresh inline solver."""
+        config = executor.index_manager.config.with_overrides(
+            alpha=ALPHA, epsilon=EPSILON)
+        batches = [[(0, 5)], [(3, 4), (0, 5)], [(0, 5)], [(17, 6), (3, 4)],
+                   [(0, 5)], [(3, 4)]]
+        for items in batches:
+            remote = executor.run_batch("test", "topk", ALPHA, EPSILON,
+                                        items)
+            with BatchTopKSolver(graph, config=config) as fresh:
+                inline = fresh.run_items(items)
+            assert len(remote) == len(inline)
+            for ours, theirs in zip(remote, inline):
+                assert ours.nodes.tobytes() == theirs.nodes.tobytes()
+                assert ours.estimates.tobytes() == theirs.estimates.tobytes()
+                assert ours.num_forests == theirs.num_forests
+                assert ours.work.as_dict() == theirs.work.as_dict()
+
     def test_warm_reaches_every_worker(self, executor):
         assert executor.warm("test", ALPHA) == 2
         stats = executor.stats()
@@ -258,6 +279,48 @@ class TestWorkerCacheEviction:
         finally:
             view_a.release()
             view_b.release()
+            manager.close_shared()
+
+
+    def test_topk_solver_outlives_index_churn_but_not_its_graph(
+            self, graph):
+        """A top-k solver borrows no index: attaching another index
+        must keep it (and its cached stream); evicting its graph
+        must drop it."""
+        from repro.service.executor import _Task, _WorkerCache
+
+        manager = _manager(graph)
+        manager.register_graph("other", erdos_renyi(150, 0.03,
+                                                    rng=SEED + 1))
+        manager.register_graph("third", erdos_renyi(120, 0.04,
+                                                    rng=SEED + 2))
+        views = [manager.shared_view(name)
+                 for name in ("test", "other", "third")]
+        try:
+            cache = _WorkerCache(capacity=2)
+            topk = cache.solver_for(_Task(
+                0, views[0].graph_handle, views[0].index_handle,
+                manager.config, "topk", ((0, 3),)))
+            cache.solver_for(_Task(1, views[1].graph_handle,
+                                   views[1].index_handle, manager.config,
+                                   "source", (0,)))
+            assert topk in cache.solvers.values()
+            # another ε reuses the graph's forest stream
+            other_epsilon = cache.solver_for(_Task(
+                2, views[0].graph_handle, views[0].index_handle,
+                manager.config.with_overrides(epsilon=0.3), "topk",
+                ((0, 3),)))
+            assert other_epsilon is not topk
+            assert other_epsilon._stream is topk._stream
+            assert len(cache.streams) == 1
+            # a third graph evicts the oldest one and everything on it
+            cache.graph_for(views[2].graph_handle)
+            assert topk not in cache.solvers.values()
+            assert other_epsilon not in cache.solvers.values()
+            assert not cache.streams
+        finally:
+            for view in views:
+                view.release()
             manager.close_shared()
 
 

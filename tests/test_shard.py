@@ -378,6 +378,57 @@ class TestStragglerDetector:
         # the slow fold cannot dilute its own baseline
         assert detector.observe(1, 0.5) is not None
 
+    def test_honest_spike_in_a_tight_window_is_not_flagged(self):
+        """The shape of the old flake: millisecond folds with tiny
+        jitter, then one honest fold twice as slow (a GC pause).  A
+        mean/σ score calls that z ≈ 20; a straggler is several times
+        slower than its peers, so it must stay unflagged."""
+        detector = StragglerDetector()
+        for index in range(40):
+            detector.observe(index % 2, 0.002 + (index % 5) * 2e-5)
+        assert detector.observe(0, 0.0045) is None
+        rows = {row["shard"]: row
+                for row in detector.stats()["per_shard"]}
+        assert rows[0]["straggler_folds"] == 0
+
+    def test_sub_millisecond_jitter_is_not_flagged(self):
+        """Honest shard folds on a small graph take about 0.5 ms, so
+        three times the median is only 1.5 ms and host jitter crosses
+        it (2 ms folds were seen with one busy core beside the test).
+        The default 1 ms σ floor asks a flagged fold to clear the
+        median by 3 ms as well; a 0.1 ms floor would flag this one."""
+        detector = StragglerDetector()
+        for index in range(40):
+            detector.observe(index % 2, 0.0005 + (index % 5) * 2e-5)
+        assert detector.observe(0, 0.002) is None
+        assert detector.observe(1, 0.75) is not None
+
+    def test_recurring_straggler_keeps_being_flagged(self):
+        """A shard slow on every 4th fold fills a quarter of the
+        window; a mean/σ window inflates until z ≈ 1.7 and goes quiet,
+        while the median/MAD one flags every slow fold."""
+        detector = StragglerDetector()
+        for index in range(16):
+            detector.observe(index % 2, 0.002)
+        flagged = 0
+        for index in range(48):
+            if index % 4 == 3:
+                flagged += detector.observe(1, 0.75) is not None
+            else:
+                assert detector.observe(0, 0.002) is None
+        assert flagged == 12
+        stats = detector.stats()
+        assert stats["median_seconds"] == pytest.approx(0.002)
+        assert stats["min_slowdown"] == 3.0
+
+    def test_min_slowdown_gates_a_high_score(self):
+        detector = StragglerDetector(min_samples=4, min_sigma=1e-6)
+        for _ in range(8):
+            detector.observe(0, 0.010)
+        # z is huge against a flat window, but 2.5x is no straggler
+        assert detector.observe(1, 0.025) is None
+        assert detector.observe(1, 0.031) is not None
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="window"):
             StragglerDetector(window=1)
