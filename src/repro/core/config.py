@@ -110,8 +110,9 @@ class PPRConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(
                 f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(
+                f"epsilon must be positive and finite, got {self.epsilon}")
         if self.mu is not None and self.mu <= 0.0:
             raise ConfigError(f"mu must be positive, got {self.mu}")
         if self.failure_probability is not None and not (

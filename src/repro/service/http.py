@@ -36,10 +36,11 @@ answer.  Appending ``?debug=1`` to any POST route forces a trace and
 inlines the span tree + work counters in the response's ``debug``
 block.
 
-Error mapping: malformed body → 400, unknown path → 404, queue
-backpressure (:class:`~repro.service.scheduler.SchedulerFull`) → 429
-with a ``Retry-After`` header, configuration errors → 400, anything
-else → 500.  Responses are always JSON except ``/metrics``.
+Error mapping: malformed body or a field of the wrong JSON type → 400,
+unknown path → 404, queue backpressure
+(:class:`~repro.service.scheduler.SchedulerFull`) → 429 with a
+``Retry-After`` header, configuration errors → 400, anything else →
+500.  Responses are always JSON except ``/metrics``.
 """
 
 from __future__ import annotations
@@ -128,51 +129,23 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = (self.headers.get("X-Request-Id")
                       or new_request_id())
         echo = {"X-Request-Id": request_id}
-        if split.path not in ("/query", "/topk", "/multiseed", "/pair",
-                              "/mutate"):
+        route = _ROUTES.get(split.path)
+        if route is None:
             self._send(404, {"error": f"unknown path {self.path!r}"},
                        headers=echo)
             return
+        method, parse = route
         query_args = parse_qs(split.query)
         debug = query_args.get("debug", ["0"])[-1] not in ("", "0",
                                                            "false")
         tenant = (self.headers.get("X-Tenant")
                   or query_args.get("tenant", [None])[-1])
         try:
-            body = self._read_json()
-            service = self.server.service
-            if split.path == "/query":
-                payload = service.query(
-                    str(body.get("kind", "source")), int(body["node"]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    top=int(body.get("top", 10)),
-                    request_id=request_id, tenant=tenant, debug=debug)
-            elif split.path == "/topk":
-                payload = service.query_topk(
-                    int(body["node"]), int(body["k"]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    request_id=request_id, tenant=tenant, debug=debug)
-            elif split.path == "/multiseed":
-                payload = service.query_multiseed(
-                    [int(seed) for seed in body["seeds"]],
-                    (None if body.get("weights") is None
-                     else [float(w) for w in body["weights"]]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    top=int(body.get("top", 10)),
-                    request_id=request_id, tenant=tenant, debug=debug)
-            elif split.path == "/mutate":
-                payload = service.mutate(body["ops"],
-                                         request_id=request_id,
-                                         debug=debug)
-            else:
-                payload = service.pair(
-                    int(body["source"]), int(body["target"]),
-                    alpha=_opt_float(body, "alpha"),
-                    epsilon=_opt_float(body, "epsilon"),
-                    request_id=request_id, tenant=tenant, debug=debug)
+            # looked up by name, so wrappers installed on the service
+            # class (tracing, profiling) see every call
+            payload = getattr(self.server.service, method)(
+                request_id=request_id, debug=debug,
+                **parse(self._read_json(), tenant))
         except SchedulerFull as full:
             self._send(429, {"error": str(full),
                              "retry_after": full.retry_after},
@@ -191,9 +164,53 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, payload, headers=echo)
 
 
-def _opt_float(body: dict, key: str) -> float | None:
-    value = body.get(key)
-    return None if value is None else float(value)
+def _integer(value, name: str) -> int:
+    """A JSON integer.  Bools and non-integral numbers are rejected,
+    never coerced (``true`` is not node 1, ``1.9`` is not 1)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _array(values, name: str) -> list:
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a JSON array, got {values!r}")
+    return values
+
+
+def _knobs(body: dict, tenant: str | None) -> dict:
+    """The keyword arguments every query route shares."""
+    return {key: None if body.get(key) is None else float(body[key])
+            for key in ("alpha", "epsilon")} | {"tenant": tenant}
+
+
+#: POST path → (:class:`PPRService` method, parser of the JSON body and
+#: tenant label into that method's keyword arguments)
+_ROUTES = {
+    "/query": ("query", lambda body, tenant: {
+        "kind": str(body.get("kind", "source")),
+        "node": _integer(body["node"], "node"),
+        "top": _integer(body.get("top", 10), "top"),
+        **_knobs(body, tenant)}),
+    "/topk": ("query_topk", lambda body, tenant: {
+        "node": _integer(body["node"], "node"),
+        "k": _integer(body["k"], "k"), **_knobs(body, tenant)}),
+    "/multiseed": ("query_multiseed", lambda body, tenant: {
+        "seeds": [_integer(seed, "seeds")
+                  for seed in _array(body["seeds"], "seeds")],
+        "weights": (None if body.get("weights") is None
+                    else [float(weight) for weight
+                          in _array(body["weights"], "weights")]),
+        "top": _integer(body.get("top", 10), "top"),
+        **_knobs(body, tenant)}),
+    "/pair": ("pair", lambda body, tenant: {
+        "source": _integer(body["source"], "source"),
+        "target": _integer(body["target"], "target"),
+        **_knobs(body, tenant)}),
+    "/mutate": ("mutate", lambda body, tenant: {"ops": body["ops"]}),
+}
 
 
 def make_server(service: PPRService, host: str | None = None,

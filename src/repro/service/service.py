@@ -1,4 +1,4 @@
-"""The PPR query service facade: cache → scheduler → solvers.
+"""The PPR query service facade: one request pipeline for every kind.
 
 :class:`PPRService` is the embeddable composition of the four serving
 components — :class:`~repro.service.index_manager.IndexManager`,
@@ -6,22 +6,25 @@ components — :class:`~repro.service.index_manager.IndexManager`,
 :class:`~repro.service.cache.ResultCache`,
 :class:`~repro.service.metrics.ServiceMetrics` — behind the query
 endpoints :meth:`query`, :meth:`query_topk`, :meth:`query_multiseed`,
-:meth:`pair`, the graph-mutation verb :meth:`mutate` and
-:meth:`healthz` (plus :meth:`metrics_text` for Prometheus scrapes).  The HTTP front end in
-:mod:`repro.service.http` is a thin JSON shim over exactly these
-methods; benchmarks and tests drive the facade in-process to keep the
-network out of the measurement.
+:meth:`pair`, the graph-mutation verb :meth:`mutate` and :meth:`healthz`
+(plus :meth:`metrics_text` for Prometheus scrapes).  Every query kind
+runs the same stages — admission, cache, scheduler, serialize, slow
+log — and supplies only its admission check, cache policy and rendered
+body.  :mod:`repro.service.http` routes JSON to exactly these methods;
+benchmarks and tests drive the facade in-process.
 
-Every answer is bit-identical to a direct
-:class:`~repro.core.batch.BatchSourceSolver` /
-:class:`~repro.core.batch.BatchTargetSolver` call against the same
-bank — batching and caching change latency and throughput, never the
+Every answer is bit-identical to a direct batch-solver call (e.g.
+:class:`~repro.core.batch.BatchSourceSolver`) against the same bank —
+batching and caching change latency and throughput, never the
 estimates.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from functools import partial
+from typing import Any, NamedTuple
 
 from repro.core.batch import normalize_seed_set
 from repro.core.result import PPRResult
@@ -44,6 +47,39 @@ from repro.service.scheduler import (
 )
 
 __all__ = ["PPRService"]
+
+
+class _Admitted(NamedTuple):
+    """What a kind's admission check hands the request pipeline."""
+
+    fields: dict                    # kind-specific QueryRequest fields
+    item: object                    # the cache-key item
+    render: Callable[[Any], dict]   # result → fields ahead of ``cached``
+    head: dict | None = None        # fields ahead of ``alpha``, or fields
+    prefix_cache: bool = False      # top-k prefix dominance, else ε
+    echo_work: bool = True          # append the ``work`` counters
+
+
+def _node_in_range(label: str, node: int, num_nodes: int) -> int:
+    node = int(node)
+    if not 0 <= node < num_nodes:
+        raise ConfigError(f"{label} {node} out of range [0, {num_nodes})")
+    return node
+
+
+def _vector_body(result, top: int) -> dict:
+    return {"method": result.method, "total_mass": result.total_mass,
+            "top": [[node, score] for node, score in result.top_k(top)]}
+
+
+def _topk_body(result) -> dict:
+    return {"converged": bool(result.converged),
+            "num_forests": int(result.num_forests),
+            "top": [[node, score] for node, score in result.as_pairs()]}
+
+
+def _pair_body(result) -> dict:
+    return {"value": float(result), "method": result.method}
 
 
 class PPRService:
@@ -183,7 +219,194 @@ class PPRService:
         self.stop()
         return False
 
-    # -- raw query path (benchmarks / tests) ---------------------------
+    # -- the request pipeline ------------------------------------------
+    def _serve(self, check, alpha: float | None, epsilon: float | None,
+               use_cache: bool, span=NULL_SPAN, tenant: str | None = None):
+        """Admission → cache → scheduler, the same for every query kind.
+
+        ``check(num_nodes=n)`` is the kind's admission check; it runs
+        before queueing, so a bad request never fails a micro-batch.
+        Returns ``(result, was_cache_hit, admitted, meta)``; ``meta``
+        says how the request was served, for the slow log.
+        """
+        started = time.perf_counter()
+        with span.child("admission"):
+            alpha = self.config.alpha if alpha is None else float(alpha)
+            epsilon = self.config.epsilon if epsilon is None else float(epsilon)
+            defaults = self.index_manager.config
+            if (alpha, epsilon) != (defaults.alpha, defaults.epsilon):
+                # the PPRConfig checks, before a bad value can key a
+                # solver (NaN never equals itself) or fail a batch
+                defaults.with_overrides(alpha=alpha, epsilon=epsilon)
+            admitted = check(num_nodes=self.index_manager.graph(
+                self.config.graph).num_nodes)
+            request = QueryRequest(graph=self.config.graph, alpha=alpha,
+                                   epsilon=epsilon, tenant=tenant,
+                                   **admitted.fields)
+            key = cache_key(self.config.graph, "batch", request.kind,
+                            admitted.item, alpha)
+        self.metrics.record_stage("admission",
+                                  time.perf_counter() - started)
+        hit = None
+        if use_cache:
+            lookup_started = time.perf_counter()
+            with span.child("cache_lookup"):
+                hit = (self.cache.get_topk(key, epsilon, request.k)
+                       if admitted.prefix_cache
+                       else self.cache.get(key, epsilon))
+            self.metrics.record_stage(
+                "cache_lookup", time.perf_counter() - lookup_started)
+        meta: dict = {"batch_size": None, "disposition": "cache"}
+        if hit is not None:
+            span.annotate(cached=True)
+            result = hit
+        else:
+            try:
+                pending = self.scheduler.submit_nowait(request, span)
+                result = pending.resolve(30.0)
+            except SchedulerFull:
+                self.metrics.record_rejection(tenant=tenant)
+                raise
+            if use_cache and admitted.prefix_cache:
+                self.cache.put_topk(key, epsilon, result.k, result)
+            elif use_cache:
+                self.cache.put(key, epsilon, result)
+            meta = {"batch_size": pending.batch_size,
+                    "disposition": pending.disposition}
+        self.metrics.record_request(
+            request.kind, time.perf_counter() - started, tenant=tenant,
+            work=None if hit is not None else result.work.as_dict())
+        return result, hit is not None, admitted, meta
+
+    def _respond(self, endpoint: str, check, annotations: dict,
+                 alpha: float | None, epsilon: float | None,
+                 use_cache: bool, request_id: str | None,
+                 tenant: str | None, debug: bool) -> dict:
+        """The envelope of every JSON query endpoint: root span →
+        :meth:`_serve` → serialize → :meth:`_finish`.
+
+        ``annotations`` label the root span before admission runs; a
+        failed request is slow-logged under their ``kind`` (default:
+        the endpoint) and ``node`` (a pair's ``target``, else -1).
+        """
+        request_id = request_id or new_request_id()
+        span = self.tracer.trace(endpoint, request_id, force=debug)
+        span.annotate(endpoint=endpoint, **annotations)
+        if tenant:
+            span.annotate(tenant=tenant)
+        started = time.perf_counter()
+        try:
+            result, hit, admitted, meta = self._serve(
+                check, alpha, epsilon, use_cache, span, tenant)
+        except BaseException as error:
+            self._finish(
+                span, request_id, started, error=error, tenant=tenant,
+                endpoint=endpoint, kind=annotations.get("kind", endpoint),
+                node=annotations.get("node", annotations.get("target", -1)),
+                alpha=self.config.alpha if alpha is None else float(alpha),
+                epsilon=(self.config.epsilon if epsilon is None
+                         else float(epsilon)))
+            raise
+        work = result.work.as_dict()
+        with span.child("serialize"):
+            serialize_started = time.perf_counter()
+            payload = {**(admitted.head or admitted.fields),
+                       "alpha": result.alpha, "epsilon": result.epsilon,
+                       **admitted.render(result), "cached": hit}
+            if admitted.echo_work:
+                payload["work"] = work
+            self.metrics.record_stage(
+                "serialize", time.perf_counter() - serialize_started)
+        return self._finish(
+            span, request_id, started, payload, meta, debug,
+            endpoint=endpoint, kind=admitted.fields["kind"],
+            node=admitted.fields["node"], alpha=result.alpha,
+            epsilon=result.epsilon, cached=hit, work=work)
+
+    def _finish(self, span, request_id: str, started: float,
+                payload: dict | None = None, meta: dict | None = None,
+                debug: bool = False, *, error: BaseException | None = None,
+                tenant: str | None = None, **record) -> dict | None:
+        """Close a request: finish its trace, slow-log it with ``meta``
+        (how it was served) and ``record``, and add the ``debug`` block
+        when asked.  A failure (``error``) always reaches the slow log
+        and, unless it was a rejection, the availability SLO."""
+        text = None
+        if error is not None:
+            text = f"{type(error).__name__}: {error}"
+            if not isinstance(error, SchedulerFull):
+                # rejections were already counted (once) on the submit
+                # path; everything else is an availability-SLO failure
+                self.metrics.record_failure(tenant=tenant)
+            span.finish(error=text)
+        tree = self.tracer.finish(span)
+        meta = meta or {}
+        self.slowlog.record(request_id=request_id,
+                            seconds=time.perf_counter() - started,
+                            error=text, trace=tree, **meta, **record)
+        if debug and payload is not None:
+            payload["debug"] = {"request_id": request_id, "trace": tree,
+                                **meta,
+                                "counters": self.metrics.snapshot()["work"]}
+        return payload
+
+    # -- admission checks, one per query kind --------------------------
+    def _admit_vector(self, kind: str, node: int, top: int = 1, *,
+                      num_nodes: int) -> _Admitted:
+        """``/query``: one source or target node, the full vector."""
+        if kind not in ("source", "target"):
+            raise ConfigError(f"kind must be 'source' or 'target', "
+                              f"got {kind!r}")
+        node = _node_in_range(f"{kind} node", node, num_nodes)
+        if top < 1:
+            raise ConfigError(f"top must be >= 1, got {top}")
+        return _Admitted({"kind": kind, "node": node}, node,
+                         partial(_vector_body, top=top))
+
+    def _admit_topk(self, node: int, k: int, *,
+                    num_nodes: int) -> _Admitted:
+        """``/topk``: a source node and a ranking depth within limits."""
+        node, k = _node_in_range("source node", node, num_nodes), int(k)
+        if not 1 <= k < num_nodes:
+            raise ConfigError(f"k must lie in [1, {num_nodes})")
+        if k > self.config.topk_max_k:
+            raise ConfigError(
+                f"k={k} exceeds the admission limit "
+                f"topk_max_k={self.config.topk_max_k}")
+        # prefix dominance: a deeper cached ranking of the node serves
+        # any shallower k, so the key leaves k out
+        return _Admitted({"kind": "topk", "node": node, "k": k}, node,
+                         _topk_body, prefix_cache=True)
+
+    def _admit_multiseed(self, seeds, weights, top: int = 1, *,
+                         num_nodes: int) -> _Admitted:
+        """``/multiseed``: the canonical seed set, within limits."""
+        seeds, weights = normalize_seed_set(seeds, weights, num_nodes)
+        if len(seeds) > self.config.multiseed_max_seeds:
+            raise ConfigError(
+                f"{len(seeds)} seeds exceed the admission limit "
+                f"multiseed_max_seeds={self.config.multiseed_max_seeds}")
+        if top < 1:
+            raise ConfigError(f"top must be >= 1, got {top}")
+        return _Admitted(
+            {"kind": "multiseed", "node": seeds[0], "seeds": seeds,
+             "weights": weights},
+            (seeds, weights), partial(_vector_body, top=top),
+            {"kind": "multiseed", "seeds": list(seeds),
+             "weights": list(weights)})
+
+    def _admit_pair(self, source: int, target: int, *,
+                    num_nodes: int) -> _Admitted:
+        """``/pair``: its own batch group, keyed on ``(source, target)``;
+        ``node`` is the target, the backward-push anchor."""
+        source = _node_in_range("source", source, num_nodes)
+        target = _node_in_range("target", target, num_nodes)
+        return _Admitted(
+            {"kind": "pair", "node": target, "source": source},
+            (source, target), _pair_body,
+            {"source": source, "target": target}, echo_work=False)
+
+    # -- raw query paths (benchmarks / tests) --------------------------
     def query_result(self, kind: str, node: int, *,
                      alpha: float | None = None,
                      epsilon: float | None = None,
@@ -196,211 +419,32 @@ class PPRService:
         bit-identical to ``solver.query(node)`` on the corresponding
         batch solver.
         """
-        result, hit, _ = self._query_traced(kind, node, alpha=alpha,
-                                            epsilon=epsilon,
-                                            use_cache=use_cache,
-                                            span=NULL_SPAN)
-        return result, hit
+        return self._serve(partial(self._admit_vector, kind, node),
+                           alpha, epsilon, use_cache)[:2]
 
-    def _query_traced(self, kind: str, node: int, *,
-                      alpha: float | None, epsilon: float | None,
-                      use_cache: bool, span,
-                      tenant: str | None = None
-                      ) -> tuple[PPRResult, bool, dict]:
-        """The instrumented query core behind every endpoint.
-
-        ``span`` is the request's root span (:data:`NULL_SPAN` when
-        unsampled — every operation on it is then a free no-op, so
-        this is also the uninstrumented fast path).  Returns
-        ``(result, was_cache_hit, meta)`` where ``meta`` carries how
-        the request was served (batch size / disposition) for the slow
-        log and debug responses.
-        """
-        if kind not in ("source", "target"):
-            raise ConfigError(f"kind must be 'source' or 'target', "
-                              f"got {kind!r}")
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            if not 0 <= int(node) < graph.num_nodes:
-                # validate before admission so one bad node can never
-                # fail the whole micro-batch it would have joined
-                raise ConfigError(f"{kind} node {node} out of range "
-                                  f"[0, {graph.num_nodes})")
-            key = cache_key(self.config.graph, "batch", kind, int(node),
-                            alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind=kind,
-                               node=int(node), alpha=alpha,
-                               epsilon=epsilon, tenant=tenant)
-        return self._serve_request(
-            request, key, span, use_cache, started, metric_kind=kind,
-            cache_get=lambda k: self.cache.get(k, epsilon),
-            cache_put=lambda k, result: self.cache.put(k, epsilon,
-                                                       result))
-
-    def _serve_request(self, request: QueryRequest, key, span,
-                       use_cache: bool, started: float, *,
-                       metric_kind: str, cache_get, cache_put):
-        """Cache-lookup → scheduler-submit → cache-put core shared by
-        every query kind; the kind-specific cache policy (ε-dominance
-        vs. top-k prefix-dominance) comes in as the two closures."""
-        if use_cache:
-            lookup_started = time.perf_counter()
-            with span.child("cache_lookup"):
-                cached = cache_get(key)
-            self.metrics.record_stage(
-                "cache_lookup", time.perf_counter() - lookup_started)
-            if cached is not None:
-                span.annotate(cached=True)
-                self.metrics.record_request(metric_kind,
-                                            time.perf_counter() - started,
-                                            tenant=request.tenant)
-                return cached, True, {"batch_size": None,
-                                      "disposition": "cache"}
-        try:
-            pending = self.scheduler.submit_nowait(request, span)
-            result = pending.resolve(30.0)
-        except SchedulerFull:
-            self.metrics.record_rejection(tenant=request.tenant)
-            raise
-        if use_cache:
-            cache_put(key, result)
-        self.metrics.record_request(metric_kind,
-                                    time.perf_counter() - started,
-                                    tenant=request.tenant,
-                                    work=result.work.as_dict())
-        return result, False, {"batch_size": pending.batch_size,
-                               "disposition": pending.disposition}
-
-    def _topk_traced(self, node: int, k: int, *, alpha: float | None,
-                     epsilon: float | None, use_cache: bool, span,
-                     tenant: str | None = None):
-        """Instrumented top-k core: prefix-dominance cache + scheduler."""
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        node, k = int(node), int(k)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            if not 0 <= node < graph.num_nodes:
-                raise ConfigError(f"source node {node} out of range "
-                                  f"[0, {graph.num_nodes})")
-            if not 1 <= k < graph.num_nodes:
-                raise ConfigError(f"k must lie in [1, {graph.num_nodes})")
-            if k > self.config.topk_max_k:
-                raise ConfigError(
-                    f"k={k} exceeds the admission limit "
-                    f"topk_max_k={self.config.topk_max_k}")
-            key = cache_key(self.config.graph, "batch", "topk", node,
-                            alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind="topk",
-                               node=node, alpha=alpha, epsilon=epsilon,
-                               k=k, tenant=tenant)
-        return self._serve_request(
-            request, key, span, use_cache, started, metric_kind="topk",
-            cache_get=lambda ck: self.cache.get_topk(ck, epsilon, k),
-            cache_put=lambda ck, result: self.cache.put_topk(
-                ck, epsilon, result.k, result))
-
-    def _multiseed_traced(self, seeds, weights, *, alpha: float | None,
-                          epsilon: float | None, use_cache: bool, span,
-                          tenant: str | None = None):
-        """Instrumented multiseed core: canonical seed set + ε cache."""
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            seeds, weights = normalize_seed_set(seeds, weights,
-                                                graph.num_nodes)
-            if len(seeds) > self.config.multiseed_max_seeds:
-                raise ConfigError(
-                    f"{len(seeds)} seeds exceed the admission limit "
-                    f"multiseed_max_seeds="
-                    f"{self.config.multiseed_max_seeds}")
-            key = cache_key(self.config.graph, "batch", "multiseed",
-                            (seeds, weights), alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind="multiseed",
-                               node=seeds[0], alpha=alpha,
-                               epsilon=epsilon, seeds=seeds,
-                               weights=weights, tenant=tenant)
-        result, hit, meta = self._serve_request(
-            request, key, span, use_cache, started,
-            metric_kind="multiseed",
-            cache_get=lambda ck: self.cache.get(ck, epsilon),
-            cache_put=lambda ck, res: self.cache.put(ck, epsilon, res))
-        return result, hit, meta, seeds, weights
-
-    def _pair_traced(self, source: int, target: int, *,
-                     alpha: float | None, epsilon: float | None,
-                     use_cache: bool, span, tenant: str | None = None):
-        """Instrumented pair core: its own batch group + ε cache keyed
-        on the ``(source, target)`` tuple."""
-        alpha = self.config.alpha if alpha is None else float(alpha)
-        epsilon = self.config.epsilon if epsilon is None else float(epsilon)
-        source, target = int(source), int(target)
-        started = time.perf_counter()
-        with span.child("admission"):
-            graph = self.index_manager.graph(self.config.graph)
-            if not 0 <= source < graph.num_nodes:
-                raise ConfigError(f"source {source} out of range "
-                                  f"[0, {graph.num_nodes})")
-            if not 0 <= target < graph.num_nodes:
-                raise ConfigError(f"target {target} out of range "
-                                  f"[0, {graph.num_nodes})")
-            key = cache_key(self.config.graph, "batch", "pair",
-                            (source, target), alpha)
-        self.metrics.record_stage("admission",
-                                  time.perf_counter() - started)
-        request = QueryRequest(graph=self.config.graph, kind="pair",
-                               node=target, alpha=alpha, epsilon=epsilon,
-                               source=source, tenant=tenant)
-        return self._serve_request(
-            request, key, span, use_cache, started, metric_kind="pair",
-            cache_get=lambda ck: self.cache.get(ck, epsilon),
-            cache_put=lambda ck, result: self.cache.put(ck, epsilon,
-                                                        result))
-
-    # -- raw query paths (benchmarks / tests) --------------------------
     def topk_result(self, node: int, k: int, *,
                     alpha: float | None = None,
                     epsilon: float | None = None,
                     use_cache: bool = True):
         """One top-k query; returns ``(TopKQueryResult, was_cache_hit)``."""
-        result, hit, _ = self._topk_traced(node, k, alpha=alpha,
-                                           epsilon=epsilon,
-                                           use_cache=use_cache,
-                                           span=NULL_SPAN)
-        return result, hit
+        return self._serve(partial(self._admit_topk, node, k),
+                           alpha, epsilon, use_cache)[:2]
 
     def multiseed_result(self, seeds, weights=None, *,
                          alpha: float | None = None,
                          epsilon: float | None = None,
                          use_cache: bool = True):
         """One seed-set query; returns ``(PPRResult, was_cache_hit)``."""
-        result, hit, _, _, _ = self._multiseed_traced(
-            seeds, weights, alpha=alpha, epsilon=epsilon,
-            use_cache=use_cache, span=NULL_SPAN)
-        return result, hit
+        return self._serve(partial(self._admit_multiseed, seeds, weights),
+                           alpha, epsilon, use_cache)[:2]
 
     def pair_result(self, source: int, target: int, *,
                     alpha: float | None = None,
                     epsilon: float | None = None,
                     use_cache: bool = True):
         """One pair query; returns ``(PairResult, was_cache_hit)``."""
-        result, hit, _ = self._pair_traced(source, target, alpha=alpha,
-                                           epsilon=epsilon,
-                                           use_cache=use_cache,
-                                           span=NULL_SPAN)
-        return result, hit
+        return self._serve(partial(self._admit_pair, source, target),
+                           alpha, epsilon, use_cache)[:2]
 
     # -- JSON-shaped endpoints -----------------------------------------
     def query(self, kind: str, node: int, *, alpha: float | None = None,
@@ -417,54 +461,10 @@ class PPRService:
         payload is byte-identical whether or not the request was
         sampled.
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("query", request_id, force=debug)
-        span.annotate(endpoint="query", kind=kind, node=int(node))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta = self._query_traced(
-                kind, node, alpha=alpha, epsilon=epsilon,
-                use_cache=use_cache, span=span, tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "query", kind, node,
-                                  alpha, epsilon, started, error,
-                                  tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "kind": kind,
-                "node": int(node),
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "method": result.method,
-                "total_mass": result.total_mass,
-                "top": [[node_id, score] for node_id, score
-                        in result.top_k(top)],
-                "cached": hit,
-                "work": result.work.as_dict(),
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="query", kind=kind,
-            node=int(node), alpha=result.alpha, epsilon=result.epsilon,
-            seconds=seconds, cached=hit, batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        return self._respond(
+            "query", partial(self._admit_vector, kind, node, top),
+            {"kind": kind, "node": int(node)}, alpha, epsilon, use_cache,
+            request_id, tenant, debug)
 
     def query_topk(self, node: int, k: int, *,
                    alpha: float | None = None,
@@ -480,55 +480,10 @@ class PPRService:
         rule froze the ranking.  Cache hits follow prefix-dominance: a
         stored deeper ranking serves any shallower ``k``.
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("topk", request_id, force=debug)
-        span.annotate(endpoint="topk", node=int(node), k=int(k))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta = self._topk_traced(
-                node, k, alpha=alpha, epsilon=epsilon,
-                use_cache=use_cache, span=span, tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "topk", "topk", node,
-                                  alpha, epsilon, started, error,
-                                  tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "kind": "topk",
-                "node": int(node),
-                "k": int(k),
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "converged": bool(result.converged),
-                "num_forests": int(result.num_forests),
-                "top": [[node_id, score] for node_id, score
-                        in result.as_pairs()],
-                "cached": hit,
-                "work": result.work.as_dict(),
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="topk", kind="topk",
-            node=int(node), alpha=result.alpha, epsilon=result.epsilon,
-            seconds=seconds, cached=hit, batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        return self._respond(
+            "topk", partial(self._admit_topk, node, k),
+            {"node": int(node), "k": int(k)}, alpha, epsilon, use_cache,
+            request_id, tenant, debug)
 
     def query_multiseed(self, seeds, weights=None, *,
                         alpha: float | None = None,
@@ -544,59 +499,11 @@ class PPRService:
         bit-identical to the weighted sum of the single-seed rows (see
         :class:`~repro.core.batch.BatchMultiSeedSolver`).
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("multiseed", request_id, force=debug)
-        span.annotate(endpoint="multiseed", seeds=len(tuple(seeds)))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta, canonical_seeds, canonical_weights = \
-                self._multiseed_traced(seeds, weights, alpha=alpha,
-                                       epsilon=epsilon,
-                                       use_cache=use_cache, span=span,
-                                       tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "multiseed",
-                                  "multiseed", -1, alpha, epsilon,
-                                  started, error, tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "kind": "multiseed",
-                "seeds": [int(seed) for seed in canonical_seeds],
-                "weights": [float(weight)
-                            for weight in canonical_weights],
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "method": result.method,
-                "total_mass": result.total_mass,
-                "top": [[node_id, score] for node_id, score
-                        in result.top_k(top)],
-                "cached": hit,
-                "work": result.work.as_dict(),
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="multiseed",
-            kind="multiseed", node=int(canonical_seeds[0]),
-            alpha=result.alpha, epsilon=result.epsilon, seconds=seconds,
-            cached=hit, batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        seeds = tuple(seeds)
+        return self._respond(
+            "multiseed", partial(self._admit_multiseed, seeds, weights, top),
+            {"seeds": len(seeds)}, alpha, epsilon, use_cache, request_id,
+            tenant, debug)
 
     def pair(self, source: int, target: int, *,
              alpha: float | None = None, epsilon: float | None = None,
@@ -612,53 +519,10 @@ class PPRService:
         batch with other pairs and cache under their own
         ``(source, target)`` key.
         """
-        request_id = request_id or new_request_id()
-        span = self.tracer.trace("pair", request_id, force=debug)
-        span.annotate(endpoint="pair", source=int(source),
-                      target=int(target))
-        if tenant:
-            span.annotate(tenant=tenant)
-        started = time.perf_counter()
-        try:
-            result, hit, meta = self._pair_traced(
-                source, target, alpha=alpha, epsilon=epsilon,
-                use_cache=use_cache, span=span, tenant=tenant)
-        except BaseException as error:
-            self._observe_failure(span, request_id, "pair", "pair",
-                                  target, alpha, epsilon, started, error,
-                                  tenant=tenant)
-            raise
-        with span.child("serialize"):
-            serialize_started = time.perf_counter()
-            payload = {
-                "source": int(source),
-                "target": int(target),
-                "alpha": result.alpha,
-                "epsilon": result.epsilon,
-                "value": float(result),
-                "method": result.method,
-                "cached": hit,
-            }
-            self.metrics.record_stage(
-                "serialize", time.perf_counter() - serialize_started)
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="pair", kind="pair",
-            node=int(target), alpha=result.alpha,
-            epsilon=result.epsilon, seconds=seconds, cached=hit,
-            batch_size=meta["batch_size"],
-            disposition=meta["disposition"],
-            work=result.work.as_dict(), trace=tree)
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "batch_size": meta["batch_size"],
-                "disposition": meta["disposition"],
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
+        return self._respond(
+            "pair", partial(self._admit_pair, source, target),
+            {"source": int(source), "target": int(target)}, alpha,
+            epsilon, use_cache, request_id, tenant, debug)
 
     # -- graph mutation ------------------------------------------------
     def mutate(self, ops, *, request_id: str | None = None,
@@ -694,51 +558,18 @@ class PPRService:
             with span.child("cache_clear"):
                 self.cache.clear()
         except BaseException as error:
-            self._observe_failure(span, request_id, "mutate", "mutate",
-                                  -1, None, None, started, error)
+            self._finish(span, request_id, started, error=error,
+                         endpoint="mutate", kind="mutate", node=-1,
+                         alpha=self.config.alpha,
+                         epsilon=self.config.epsilon)
             raise
         self.metrics.record_mutation(summary["work"])
-        seconds = time.perf_counter() - started
-        tree = self.tracer.finish(span) if span.enabled else None
-        self.slowlog.record(
-            request_id=request_id, endpoint="mutate", kind="mutate",
-            node=-1, alpha=self.config.alpha,
-            epsilon=self.config.epsilon, seconds=seconds,
-            work=summary["work"], trace=tree)
-        payload = dict(summary)
-        payload["request_id"] = request_id
-        if debug:
-            payload["debug"] = {
-                "request_id": request_id,
-                "trace": tree,
-                "counters": self.metrics.snapshot()["work"],
-            }
-        return payload
-
-    def _observe_failure(self, span, request_id: str, endpoint: str,
-                         kind: str, node: int, alpha: float | None,
-                         epsilon: float | None, started: float,
-                         error: BaseException, *,
-                         tenant: str | None = None) -> None:
-        """Record a failed request: error-annotated trace + slow log
-        (errors bypass the latency threshold)."""
-        seconds = time.perf_counter() - started
-        text = f"{type(error).__name__}: {error}"
-        if not isinstance(error, SchedulerFull):
-            # rejections were already counted (once) on the submit
-            # path; everything else is an availability-SLO failure
-            self.metrics.record_failure(tenant=tenant)
-        tree = None
-        if span.enabled:
-            span.finish(error=text)
-            tree = self.tracer.finish(span)
-        self.slowlog.record(
-            request_id=request_id, endpoint=endpoint, kind=kind,
-            node=int(node),
-            alpha=self.config.alpha if alpha is None else float(alpha),
-            epsilon=(self.config.epsilon if epsilon is None
-                     else float(epsilon)),
-            seconds=seconds, error=text, trace=tree)
+        return self._finish(
+            span, request_id, started,
+            {**summary, "request_id": request_id}, None, debug,
+            endpoint="mutate", kind="mutate", node=-1,
+            alpha=self.config.alpha, epsilon=self.config.epsilon,
+            work=summary["work"])
 
     # -- observability -------------------------------------------------
     def healthz(self) -> dict:

@@ -16,6 +16,8 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.2),
         ("epsilon", 0.0), ("epsilon", -1.0),
+        ("epsilon", np.nan), ("epsilon", np.inf), ("epsilon", -np.inf),
+        ("alpha", np.nan), ("alpha", np.inf),
         ("mu", 0.0), ("failure_probability", 0.0),
         ("failure_probability", 1.0), ("r_max", 0.0),
         ("budget_scale", 0.0), ("push_cost_ratio", 0.0),

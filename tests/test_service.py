@@ -121,6 +121,15 @@ def service(graph, service_config):
         yield svc
 
 
+@pytest.fixture(scope="module")
+def base_url(service):
+    server = make_server(service, port=0)
+    serve_forever(server, in_thread=True)
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
 class TestResultCache:
     def test_epsilon_dominance(self):
         cache = ResultCache(capacity=4)
@@ -773,14 +782,6 @@ class TestQuerySurface:
 
 
 class TestHTTP:
-    @pytest.fixture(scope="class")
-    def base_url(self, service):
-        server = make_server(service, port=0)
-        serve_forever(server, in_thread=True)
-        yield f"http://127.0.0.1:{server.server_port}"
-        server.shutdown()
-        server.server_close()
-
     def _get(self, url):
         with urllib.request.urlopen(url, timeout=10) as response:
             return response.status, response.read()
@@ -932,6 +933,95 @@ class TestHTTP:
             assert response.headers["X-Request-Id"]
             payload = json.loads(response.read())
         assert "debug" not in payload
+
+
+class TestAdmissionHardening:
+    """Inputs that used to slip past admission: non-finite ε and α, a
+    non-positive ``top``, and loosely typed JSON fields.  Each now
+    fails with a 400 before the scheduler (or any solver) sees it."""
+
+    def _post(self, url, body, headers=None):
+        data = body.encode() if isinstance(body, str) \
+            else json.dumps(body).encode()
+        request = urllib.request.Request(
+            url, data=data, headers={"Content-Type": "application/json",
+                                     **(headers or {})})
+        try:
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as error:
+            return error.code, json.loads(error.read())
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_epsilon_and_alpha_rejected(self, base_url,
+                                                   service, value):
+        solvers = len(service.index_manager._solvers)
+        misses = service.cache.stats()["misses"]
+        for path, body in (
+                ("/query", '{"kind": "source", "node": 3, '
+                           f'"epsilon": {value}}}'),
+                ("/topk", f'{{"node": 3, "k": 3, "epsilon": {value}}}'),
+                ("/pair", f'{{"source": 1, "target": 6, "alpha": {value}}}'),
+                ("/multiseed", f'{{"seeds": [1, 6], "alpha": {value}}}')):
+            for _ in range(3):
+                status, payload = self._post(base_url + path, body)
+                assert status == 400, (path, payload)
+                assert "must" in payload["error"]
+        # no solver keyed on a non-finite value, no cache probe
+        assert len(service.index_manager._solvers) == solvers
+        assert service.cache.stats()["misses"] == misses
+
+    def test_non_positive_top_is_an_admission_error(self, base_url,
+                                                    service):
+        before = dict(service.metrics.snapshot()["requests"])
+        for number, (path, body) in enumerate((
+                ("/query", {"kind": "source", "node": 3, "top": -1}),
+                ("/multiseed", {"seeds": [1, 6], "top": 0}))):
+            status, payload = self._post(
+                base_url + path, body,
+                {"X-Tenant": "top-check", "X-Request-Id": f"top-{number}"})
+            assert status == 400
+            assert "top must be >= 1" in payload["error"]
+            [entry] = [entry for entry in service.slowlog.recent()
+                       if entry["request_id"] == f"top-{number}"]
+            assert entry["status"] == "error"
+            assert "top must be >= 1" in entry["error"]
+        # counted as failures, never as served requests
+        assert service.metrics.snapshot()["requests"] == before
+        [row] = [row for row in service.metrics.tenant_table()
+                 if row["tenant"] == "top-check"]
+        assert (row["requests"], row["errors"]) == (0, 2)
+
+    @pytest.mark.parametrize("path,body,message", [
+        ("/multiseed", {"seeds": "123"}, "seeds must be a JSON array"),
+        ("/multiseed", {"seeds": [1, 6], "weights": "12"},
+         "weights must be a JSON array"),
+        ("/multiseed", {"seeds": [1, True]}, "seeds must be an integer"),
+        ("/query", {"kind": "source", "node": True},
+         "node must be an integer"),
+        ("/query", {"kind": "source", "node": 3, "top": 2.5},
+         "top must be an integer"),
+        ("/topk", {"node": 4, "k": "3"}, "k must be an integer"),
+        ("/pair", {"source": 1.9, "target": 6},
+         "source must be an integer"),
+        ("/pair", {"source": 1, "target": False},
+         "target must be an integer"),
+    ])
+    def test_loosely_typed_fields_rejected(self, base_url, path, body,
+                                           message):
+        status, payload = self._post(base_url + path, body)
+        assert status == 400
+        assert message in payload["error"]
+
+    def test_integral_floats_still_accepted(self, base_url):
+        status, exact = self._post(f"{base_url}/pair",
+                                   {"source": 1, "target": 6})
+        assert status == 200
+        status, integral = self._post(f"{base_url}/pair",
+                                      {"source": 1.0, "target": 6.0})
+        assert status == 200
+        assert integral["source"] == 1
+        assert integral["value"] == exact["value"]
 
 
 class TestSLOIntegration:
