@@ -11,7 +11,8 @@ and cycles pop slowly.
 
 The union is virtual: neighbour sampling runs against the base graph's
 alias table on ``id mod n`` and adds the layer offset back, so memory
-is ``O(k·n)`` work arrays, never ``k`` copies of the edges.
+is ``O(k·n)`` work arrays, never ``k`` copies of the edges.  The
+popping loop itself is :func:`repro.forests.cycle_popping.pop_cycles`.
 
 Equivalence with the sequential samplers is tested statistically.
 """
@@ -20,66 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConfigError, ConvergenceError
+from repro.exceptions import ConfigError
+from repro.forests.cycle_popping import pop_cycles
 from repro.forests.forest import RootedForest
 from repro.graph.csr import Graph
-from repro.rng import ensure_rng
 
 __all__ = ["sample_forests_batch"]
-
-
-def _stratified_uniforms(base: np.ndarray, generator: np.random.Generator
-                         ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Latin-hypercube uniforms for one popping round.
-
-    ``base`` holds the base-graph node of every active union-node.
-    Layers sharing a base node form one stratum of size ``k``: each
-    layer is assigned a distinct cell ``[j/k, (j+1)/k)`` of the unit
-    interval (a fresh random permutation per node per round) and draws
-    its arrow uniform inside that cell.  Marginally every layer still
-    sees an i.i.d. ``U[0, 1)`` stream, so each forest keeps the exact
-    sequential cycle-popping law; only the *joint* draw across layers
-    is coupled, which is what shrinks the variance of bank means.
-
-    Returns ``(order, uniforms, strata)`` where ``order`` sorts the
-    active set by base node, ``uniforms`` aligns with ``base[order]``,
-    and ``strata`` counts the multi-layer groups formed.
-    """
-    m = base.size
-    order = np.argsort(base, kind="stable")
-    sorted_base = base[order]
-    boundary = np.empty(m, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_base[1:], sorted_base[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    counts = np.diff(np.append(starts, m))
-    sizes = np.repeat(counts, counts)
-    # random permutation within each group: rank layers by an i.i.d. key
-    keys = generator.random(m)
-    within = np.lexsort((keys, sorted_base))
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[within] = np.arange(m) - np.repeat(starts, counts)
-    uniforms = (ranks + generator.random(m)) / sizes
-    return order, uniforms, int(np.count_nonzero(counts > 1))
-
-
-def _neighbors_from_quantiles(graph: Graph, nodes: np.ndarray,
-                              quantiles: np.ndarray,
-                              edge_cumsum: np.ndarray | None) -> np.ndarray:
-    """Inverse-CDF neighbour choice: quantile ``q`` → out-edge of ``u``.
-
-    Unweighted rows use ``floor(q·deg)``; weighted rows binary-search
-    the global edge-weight cumsum (strictly increasing, weights > 0)
-    restricted to the row, so the draw matches the alias table's law.
-    """
-    lo = graph.indptr[nodes]
-    if graph.weights is None:
-        deg = graph.indptr[nodes + 1] - lo
-        slot = np.minimum((quantiles * deg).astype(np.int64), deg - 1)
-        return graph.indices[lo + slot]
-    targets = edge_cumsum[lo] + quantiles * graph.degrees[nodes]
-    pos = np.searchsorted(edge_cumsum, targets, side="right") - 1
-    return graph.indices[np.minimum(pos, graph.indptr[nodes + 1] - 1)]
 
 
 def sample_forests_batch(graph: Graph, alpha: float, count: int,
@@ -103,100 +50,30 @@ def sample_forests_batch(graph: Graph, alpha: float, count: int,
 
     ``stratified=True`` couples the layers' arrow draws through a
     Latin-hypercube grid per (node, round) — see
-    :func:`_stratified_uniforms`.  Every individual forest keeps the
-    exact product-law marginal, so all estimators stay unbiased; only
-    estimates *averaged across the batch* see reduced variance (the
-    ``variance_mode="stratified"`` contract measured by
+    :func:`~repro.forests.cycle_popping._stratified_uniforms`.  Every
+    individual forest keeps the exact product-law marginal, so all
+    estimators stay unbiased; only estimates *averaged across the
+    batch* see reduced variance (the ``variance_mode="stratified"``
+    contract measured by
     :func:`repro.forests.statistics.empirical_variance_ratio`).
     ``counters.strata`` is credited with the groups formed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
     if count <= 0:
         raise ConfigError("count must be positive")
     n = graph.num_nodes
-    total = count * n
-    generator = ensure_rng(rng)
-    alias = graph.alias_table
-    out_degrees = graph.out_degrees
-    edge_cumsum = None
-    if stratified and graph.weights is not None:
-        # global running sum; within row u it is offset + per-row cumsum
-        edge_cumsum = np.concatenate(
-            ([0.0], np.cumsum(graph.weights, dtype=np.float64)))
-
-    next_node = np.empty(total, dtype=np.int64)
-    is_root = np.zeros(total, dtype=bool)
-    short = np.empty(total, dtype=np.int64)
-    active = np.arange(total)
-    trapped = np.arange(total)
-    steps_per_layer = np.zeros(count, dtype=np.int64)
-    strata_formed = 0
-
-    for _ in range(max_rounds):
-        # (1) fresh arrows for all active union-nodes
-        base = active % n
-        np.add.at(steps_per_layer, active // n, 1)
-        if stratified:
-            order, uniforms, groups = _stratified_uniforms(base, generator)
-            active_round = active[order]
-            base_round = base[order]
-            strata_formed += groups
-        else:
-            uniforms = generator.random(active.size)
-            active_round = active
-            base_round = base
-        stops = (uniforms < alpha) | (out_degrees[base_round] == 0)
-        stopped = active_round[stops]
-        is_root[stopped] = True
-        next_node[stopped] = stopped
-        movers = active_round[~stops]
-        if movers.size:
-            is_root[movers] = False
-            offsets = movers - (movers % n)
-            if stratified:
-                # reuse the surviving uniform: conditional on u >= α it
-                # is U[α, 1), so (u-α)/(1-α) is an independent U[0, 1)
-                quantiles = (uniforms[~stops] - alpha) / (1.0 - alpha)
-                next_node[movers] = offsets + _neighbors_from_quantiles(
-                    graph, base_round[~stops], quantiles, edge_cumsum)
-            else:
-                next_node[movers] = offsets + alias.sample_neighbors(
-                    movers % n, rng=generator)
-        short[trapped] = next_node[trapped]
-
-        # (2) resolve trapped chains (pointer doubling on the union)
-        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
-        jump = short.copy()
-        for _ in range(doubling):
-            jump[trapped] = jump[jump[trapped]]
-        resolved = jump[trapped]
-        done = is_root[resolved]
-        short[trapped[done]] = resolved[done]
-
-        still = trapped[~done]
-        if still.size == 0:
-            parents = next_node.copy()
-            parents[is_root] = -1
-            forests = []
-            for layer in range(count):
-                lo, hi = layer * n, (layer + 1) * n
-                forests.append(RootedForest(
-                    roots=short[lo:hi] - lo,
-                    parents=np.where(parents[lo:hi] >= 0,
-                                     parents[lo:hi] - lo, -1),
-                    num_steps=int(steps_per_layer[layer]),
-                    method="cycle_popping_batch"))
-            if counters is not None:
-                for forest in forests:
-                    counters.record_forest(forest)
-                counters.strata += strata_formed
-            return forests
-
-        # (3) pop the union's bad cycles
-        active = np.unique(resolved[~done])
-        trapped = still
-
-    raise ConvergenceError(
-        f"batched cycle popping did not terminate within {max_rounds} rounds",
-        iterations=max_rounds)
+    popped = pop_cycles(graph, alpha, rng, max_rounds, layers=count,
+                        stratified=stratified)
+    forests = []
+    for layer in range(count):
+        lo = layer * n
+        parents = popped.parents[lo:lo + n]
+        forests.append(RootedForest(
+            roots=popped.roots[lo:lo + n] - lo,
+            parents=np.where(parents >= 0, parents - lo, -1),
+            num_steps=int(popped.steps[layer]),
+            method="cycle_popping_batch"))
+    if counters is not None:
+        for forest in forests:
+            counters.record_forest(forest)
+        counters.strata += popped.strata
+    return forests

@@ -15,9 +15,10 @@ sampled forest after a graph mutation without resampling everything:
    every other node's recorded outcomes are draws from a law that is
    **identical** under the new graph, so they remain a valid stack
    prefix.
-3. Re-run cycle popping where each node's stack is its surviving
-   record, extended lazily with fresh draws from the *new* graph when
-   the record runs out.
+3. Re-run cycle popping (:func:`~repro.forests.cycle_popping.pop_cycles`
+   with a ``record``) where each node's stack is its surviving record,
+   extended lazily with fresh draws from the *new* graph when the
+   record runs out.
 
 The resulting table is i.i.d. per the new graph's arrow law in every
 position — dirty columns are entirely fresh, clean columns were always
@@ -43,16 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.counters import WorkCounters
-from repro.exceptions import ConfigError, ConvergenceError
+from repro.exceptions import ConfigError
+from repro.forests.cycle_popping import STOP_ARROW, pop_cycles
 from repro.forests.forest import RootedForest
 from repro.graph.csr import Graph
-from repro.rng import ensure_rng
 
 __all__ = ["ForestRecord", "sample_forest_recorded", "repair_forest",
            "STOP_ARROW"]
-
-#: Record marker for a "stop here" arrow (the node became a root).
-STOP_ARROW = -1
 
 
 @dataclass
@@ -100,105 +98,6 @@ def _ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + within
 
 
-def _replay(graph: Graph, alpha: float, record: ForestRecord,
-            dirty: np.ndarray, generator: np.random.Generator,
-            max_rounds: int, method: str = "repair",
-            ) -> tuple[RootedForest, ForestRecord, int, int]:
-    """Cycle popping over recorded stacks extended with fresh draws.
-
-    Returns ``(forest, new_record, replayed, fresh)`` where ``replayed``
-    counts record reads and ``fresh`` counts new arrow draws.  With an
-    empty record this is exactly :func:`sample_forest_cycle_popping`
-    (same RNG consumption order, bit-identical output at a fixed seed).
-    """
-    n = graph.num_nodes
-    if record.num_nodes != n:
-        raise ConfigError(
-            f"record covers {record.num_nodes} nodes, graph has {n}")
-    alias = graph.alias_table
-    out_degrees = graph.out_degrees
-
-    rec_start = record.indptr[:-1]
-    rec_len = record.lengths().copy()
-    rec_len[dirty] = 0  # dirty rows changed; their draws are invalid
-
-    cursor = np.zeros(n, dtype=np.int64)  # pops so far = stack position
-    next_node = np.empty(n, dtype=np.int64)
-    is_root = np.zeros(n, dtype=bool)
-    short = np.empty(n, dtype=np.int64)
-    active = np.arange(n)
-    trapped = np.arange(n)
-    replayed = 0
-    fresh = 0
-    fresh_nodes: list[np.ndarray] = []
-    fresh_arrows: list[np.ndarray] = []
-
-    for _ in range(max_rounds):
-        # (1) top arrows for the active set: replay the record where it
-        # still covers the node's stack position, else draw fresh from
-        # the (current) graph and append to the record buffers
-        use_record = cursor[active] < rec_len[active]
-        recorded = active[use_record]
-        if recorded.size:
-            replayed += recorded.size
-            arrows = record.arrows[rec_start[recorded] + cursor[recorded]]
-            stops = arrows == STOP_ARROW
-            stopped = recorded[stops]
-            is_root[stopped] = True
-            next_node[stopped] = stopped
-            movers = recorded[~stops]
-            is_root[movers] = False
-            next_node[movers] = arrows[~stops]
-        drawing = active[~use_record]
-        if drawing.size:
-            fresh += drawing.size
-            coins = generator.random(drawing.size)
-            stops = (coins < alpha) | (out_degrees[drawing] == 0)
-            stopped = drawing[stops]
-            is_root[stopped] = True
-            next_node[stopped] = stopped
-            movers = drawing[~stops]
-            arrows = np.full(drawing.size, STOP_ARROW, dtype=np.int64)
-            if movers.size:
-                is_root[movers] = False
-                targets = alias.sample_neighbors(movers, rng=generator)
-                next_node[movers] = targets
-                arrows[~stops] = targets
-            fresh_nodes.append(drawing)
-            fresh_arrows.append(arrows)
-        short[trapped] = next_node[trapped]
-
-        # (2) resolve trapped chains by pointer doubling (identical to
-        # sample_forest_cycle_popping)
-        doubling = int(np.ceil(np.log2(trapped.size + 2))) + 1
-        jump = short.copy()
-        for _ in range(doubling):
-            jump[trapped] = jump[jump[trapped]]
-        resolved = jump[trapped]
-        done = is_root[resolved]
-        short[trapped[done]] = resolved[done]
-
-        still = trapped[~done]
-        if still.size == 0:
-            parents = next_node.copy()
-            parents[is_root] = -1
-            forest = RootedForest(roots=short, parents=parents,
-                                  num_steps=replayed + fresh,
-                                  method=method)
-            new_record = _merge_record(record, rec_len, fresh_nodes,
-                                       fresh_arrows, n)
-            return forest, new_record, replayed, fresh
-
-        # (3) pop the bad cycles: advance their stack cursors and redraw
-        active = np.unique(resolved[~done])
-        cursor[active] += 1
-        trapped = still
-
-    raise ConvergenceError(
-        f"forest repair did not terminate within {max_rounds} rounds",
-        iterations=max_rounds)
-
-
 def _merge_record(record: ForestRecord, kept_len: np.ndarray,
                   fresh_nodes: list[np.ndarray],
                   fresh_arrows: list[np.ndarray], n: int) -> ForestRecord:
@@ -243,13 +142,10 @@ def sample_forest_recorded(graph: Graph, alpha: float,
     at the same seed — recording changes bookkeeping, not the draw
     sequence.  Standard sampling counters are credited.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    generator = ensure_rng(rng)
-    forest, record, _, _ = _replay(
-        graph, alpha, ForestRecord.empty(graph.num_nodes),
-        np.empty(0, dtype=np.int64), generator, max_rounds,
-        method="cycle_popping_recorded")
+    forest, record = repair_forest(graph, alpha,
+                                   ForestRecord.empty(graph.num_nodes), (),
+                                   rng, max_rounds)
+    forest.method = "cycle_popping_recorded"
     if counters is not None:
         counters.record_forest(forest)
     return forest, record
@@ -284,16 +180,23 @@ def repair_forest(graph: Graph, alpha: float, record: ForestRecord,
         ``repair_replayed_steps`` / ``repair_fresh_steps`` /
         ``repair_dirty_nodes`` on ``counters``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    n = graph.num_nodes
+    if record.num_nodes != n:
+        raise ConfigError(
+            f"record covers {record.num_nodes} nodes, graph has {n}")
     dirty = np.asarray(dirty, dtype=np.int64)
-    if dirty.size and (dirty.min() < 0 or dirty.max() >= graph.num_nodes):
+    if dirty.size and (dirty.min() < 0 or dirty.max() >= n):
         raise ConfigError("dirty node id out of range")
-    generator = ensure_rng(rng)
-    forest, new_record, replayed_count, fresh_count = _replay(
-        graph, alpha, record, dirty, generator, max_rounds)
+    kept = record.lengths()
+    kept[dirty] = 0  # dirty rows changed; their draws are invalid
+    popped = pop_cycles(graph, alpha, rng, max_rounds,
+                        record=(record.indptr[:-1], kept, record.arrows))
+    steps = int(popped.steps[0])
     if counters is not None:
-        counters.repair_replayed_steps += replayed_count
-        counters.repair_fresh_steps += fresh_count
+        counters.repair_replayed_steps += popped.replayed
+        counters.repair_fresh_steps += steps - popped.replayed
         counters.repair_dirty_nodes += dirty.size
-    return forest, new_record
+    forest = RootedForest(roots=popped.roots, parents=popped.parents,
+                          num_steps=steps, method="repair")
+    return forest, _merge_record(record, kept, popped.fresh_nodes,
+                                 popped.fresh_arrows, n)

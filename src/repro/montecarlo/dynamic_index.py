@@ -32,9 +32,10 @@ import time
 import numpy as np
 
 from repro.counters import WorkCounters
-from repro.exceptions import ConfigError
+from repro.exceptions import ConfigError, GraphError
 from repro.forests.forest import RootedForest
 from repro.forests.repair import (
+    STOP_ARROW,
     ForestRecord,
     repair_forest,
     sample_forest_recorded,
@@ -222,7 +223,11 @@ class DynamicForestIndex(ForestIndex):
 
         The graph travels inside the artifact (mutations change it, so
         it cannot be re-derived from any dataset), and its degree
-        checksum is verified against the manifest on the way in.
+        checksum is verified against the manifest on the way in.  Every
+        forest and arrow record is checked against that graph too (see
+        :func:`_check_loaded`): a corrupt record would otherwise be
+        replayed by :meth:`mutated` into a forest with a parent that is
+        not an edge.
         """
         from repro.parallel.shared_bank import load_array_bank
 
@@ -253,6 +258,7 @@ class DynamicForestIndex(ForestIndex):
                 arrows=np.ascontiguousarray(
                     flat[int(offsets[i]):int(offsets[i + 1])]))
             for i, indptr in enumerate(arrays["record_indptr"])]
+        _check_loaded(graph, forests, records)
         index = cls(graph, float(meta["alpha"]), forests,
                     build_seconds=float(meta.get("build_seconds", 0.0)),
                     records=records,
@@ -260,3 +266,35 @@ class DynamicForestIndex(ForestIndex):
         for forest in index.forests:
             forest.component_degree_mass(graph.degrees)
         return index
+
+
+def _check_loaded(graph: Graph, forests: list[RootedForest],
+                  records: list[ForestRecord]) -> None:
+    """Raise :class:`ConfigError` unless every loaded forest is a valid
+    rooted forest on ``graph`` and every record is a CSR of arrows,
+    each :data:`STOP_ARROW` or an out-neighbour of its node."""
+    n = graph.num_nodes
+    edge_keys = (np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
+                 * n + graph.indices)
+    for i, (forest, record) in enumerate(zip(forests, records)):
+        indptr, arrows = record.indptr, record.arrows
+        if (indptr.shape != (n + 1,) or indptr[0] != 0
+                or np.any(np.diff(indptr) < 0)
+                or indptr[-1] != arrows.size):
+            raise ConfigError(
+                f"dynamic bank forest {i}: record indptr is not a CSR "
+                f"offset array over {n} nodes and {arrows.size} arrows")
+        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        moves = arrows != STOP_ARROW
+        heads, tails = owners[moves], arrows[moves]
+        if tails.size and (tails.min() < 0 or tails.max() >= n or not
+                           np.isin(heads * n + tails, edge_keys).all()):
+            raise ConfigError(
+                f"dynamic bank forest {i}: a recorded arrow is neither "
+                f"a stop nor an out-edge of its node")
+        try:
+            if forest.num_nodes != n:
+                raise GraphError(f"forest covers {forest.num_nodes} nodes")
+            forest.validate()
+        except GraphError as exc:
+            raise ConfigError(f"dynamic bank forest {i}: {exc}") from None

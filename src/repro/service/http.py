@@ -109,17 +109,16 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = (self.headers.get("X-Request-Id")
                       or new_request_id())
         echo = {"X-Request-Id": request_id}
-        if self.path == "/healthz":
-            self._send(200, self.server.service.healthz(), headers=echo)
-        elif self.path == "/metrics":
-            self._send(200, self.server.service.metrics_text().encode(),
-                       content_type="text/plain; version=0.0.4",
-                       headers=echo)
-        elif self.path == "/statusz":
-            self._send(200, self.server.service.statusz(), headers=echo)
-        else:
+        route = _GET_ROUTES.get(urlsplit(self.path).path)
+        if route is None:
             self._send(404, {"error": f"unknown path {self.path!r}"},
                        headers=echo)
+            return
+        method, content_type = route
+        payload = getattr(self.server.service, method)()
+        if isinstance(payload, str):
+            payload = payload.encode()
+        self._send(200, payload, content_type=content_type, headers=echo)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         split = urlsplit(self.path)
@@ -210,6 +209,15 @@ _ROUTES = {
         "target": _integer(body["target"], "target"),
         **_knobs(body, tenant)}),
     "/mutate": ("mutate", lambda body, tenant: {"ops": body["ops"]}),
+}
+
+
+#: GET path → (:class:`PPRService` method, content type of its answer);
+#: like the POST routes, unknown query arguments are ignored
+_GET_ROUTES = {
+    "/healthz": ("healthz", "application/json"),
+    "/metrics": ("metrics_text", "text/plain; version=0.0.4"),
+    "/statusz": ("statusz", "application/json"),
 }
 
 

@@ -161,6 +161,50 @@ class TestDynamicBank:
         again = DynamicForestIndex.load_dynamic_bank(path)
         assert np.array_equal(again.graph.indptr, mutated.graph.indptr)
 
+    @staticmethod
+    def _corrupt(graph, path, how):
+        """Damage one array of a saved dynamic bank in place."""
+        name = "record_indptr" if how == "decreasing" else (
+            "parents" if how == "forest" else "record_arrows")
+        array = np.load(path / f"{name}.npy")
+        if how == "decreasing":
+            array[0, 1] = array[0, 2] + 1
+        elif how == "forest":
+            root = int(np.flatnonzero(array[0] == -1)[0])
+            array[0, root] = int(graph.indices[graph.indptr[root]])
+        else:
+            indptr = np.load(path / "record_indptr.npy")[0]
+            slot = int(np.flatnonzero(array[:indptr[-1]] >= 0)[0])
+            owner = int(np.searchsorted(indptr, slot, side="right")) - 1
+            neighbours = set(graph.indices[graph.indptr[owner]:
+                                           graph.indptr[owner + 1]].tolist())
+            array[slot] = {"-7": -7, "n": graph.num_nodes}.get(how) or min(
+                v for v in range(graph.num_nodes)
+                if v != owner and v not in neighbours)
+        np.save(path / f"{name}.npy", array)
+
+    @pytest.mark.parametrize("how", ["-7", "n", "non-neighbour",
+                                     "decreasing", "forest"])
+    def test_corrupt_bank_fails_at_load(self, graph, tmp_path, how):
+        path = tmp_path / "bank"
+        DynamicForestIndex.build(graph, ALPHA, 3, rng=9).save_dynamic_bank(
+            path)
+        DynamicForestIndex.load_dynamic_bank(path)  # intact: loads
+        self._corrupt(graph, path, how)
+        with pytest.raises(ConfigError, match="dynamic bank forest 0"):
+            DynamicForestIndex.load_dynamic_bank(path)
+
+    def test_cli_mutate_refuses_corrupt_bank(self, graph, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bank"
+        DynamicForestIndex.build(graph, ALPHA, 3, rng=9).save_dynamic_bank(
+            path)
+        self._corrupt(graph, path, "-7")
+        assert main(["index", "mutate", str(path),
+                     "--upsert", "0:1:2.0"]) == 2
+        assert "recorded arrow" in capsys.readouterr().err
+
     def test_rejects_static_bank(self, graph, tmp_path):
         static = ForestIndex.build(graph, ALPHA, 2, rng=0)
         path = tmp_path / "static"

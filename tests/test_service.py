@@ -847,6 +847,34 @@ class TestHTTP:
             self._get(f"{base_url}/nope")
         assert excinfo.value.code == 404
 
+    @staticmethod
+    def _steady(path, body):
+        """``body`` minus the fields that move between two GETs."""
+        if path == "/metrics":
+            return body
+        payload = json.loads(body)
+        payload.pop("uptime_seconds")
+        payload.pop("windows", None)  # rolling rates over wall time
+        payload.pop("slo", None)
+        return payload
+
+    @pytest.mark.parametrize("path", ["/healthz", "/metrics", "/statusz"])
+    def test_get_ignores_query_arguments(self, base_url, path):
+        plain = self._get(f"{base_url}{path}")
+        status, body = self._get(f"{base_url}{path}?verbose=1&x=")
+        assert (status, self._steady(path, body)) == (
+            plain[0], self._steady(path, plain[1]))
+        assert status == 200
+
+    def test_get_unknown_path_is_404_with_request_id(self, base_url):
+        request = urllib.request.Request(
+            f"{base_url}/healthzz?verbose=1",
+            headers={"X-Request-Id": "rid-get-404"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 404
+        assert excinfo.value.headers["X-Request-Id"] == "rid-get-404"
+
     def test_metrics_endpoint(self, base_url):
         self._post(f"{base_url}/query", {"kind": "source", "node": 2})
         status, body = self._get(f"{base_url}/metrics")
